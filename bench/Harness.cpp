@@ -9,6 +9,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -100,9 +101,10 @@ int bench::repsFromArgs(int Argc, char **Argv, int Default) {
 }
 
 uint64_t bench::minBytesFor(Workload &W, double Scale) {
-  // Cache per (workload, scale).
-  static std::map<std::pair<const Workload *, double>, uint64_t> Cache;
-  auto Key = std::make_pair(static_cast<const Workload *>(&W), Scale);
+  // Cache per (program, scale). Keyed by name, not by instance: a freed
+  // instance's address may be reused by another program's.
+  static std::map<std::pair<std::string, double>, uint64_t> Cache;
+  auto Key = std::make_pair(std::string(W.name()), Scale);
   auto It = Cache.find(Key);
   if (It != Cache.end())
     return It->second;
@@ -151,8 +153,16 @@ bench::profilePretenureSet(Workload &W, double Scale,
 double bench::scaleFromArgs(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
-    if (std::strncmp(Arg, "--scale=", 8) == 0)
-      return std::atof(Arg + 8);
+    if (std::strncmp(Arg, "--scale=", 8) == 0) {
+      char *End = nullptr;
+      double V = std::strtod(Arg + 8, &End);
+      if (End == Arg + 8 || *End != '\0' || !(V > 0) || !std::isfinite(V)) {
+        std::fprintf(stderr, "%s: --scale wants a positive number, got '%s'\n",
+                     Argv[0], Arg + 8);
+        std::exit(2);
+      }
+      return V;
+    }
     double V = std::atof(Arg);
     if (V > 0)
       return V;

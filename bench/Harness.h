@@ -86,7 +86,8 @@ int repsFromArgs(int Argc, char **Argv, int Default);
 
 /// The paper's Min: "twice the maximum amount of live data a program has
 /// during execution". Measured with a semispace run (every collection is
-/// full, so live data is sampled accurately); cached per (workload, scale).
+/// full, so live data is sampled accurately); cached per (program name,
+/// scale).
 uint64_t minBytesFor(Workload &W, double Scale);
 
 /// A config implementing the k*Min protocol.
@@ -100,7 +101,8 @@ MutatorConfig configFor(CollectorKind Kind, double K, Workload &W,
 std::vector<PretenureDecision>
 profilePretenureSet(Workload &W, double Scale, bool KeepScanElimination);
 
-/// Scale from argv ("--scale=X" or a bare number); defaults to 1.0.
+/// Scale from argv ("--scale=X" or a bare positive number); defaults to
+/// 2.0. An unparsable or non-positive --scale exits with code 2.
 double scaleFromArgs(int Argc, char **Argv);
 
 /// Prints the standard header line for a bench binary.

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 using namespace tilgc;
 
@@ -202,7 +203,24 @@ void Mutator::collect(bool Major) {
   GC->collect(Major);
 }
 
-void Mutator::raise(Value Exn) {
+uint32_t Mutator::learnSlotCount(uint32_t Key) {
+  // Checked lookup first: a bad key (StubKey included) must abort before it
+  // sizes the memo.
+  uint32_t N = TraceTableRegistry::global().lookup(Key).numSlots();
+  if (Key >= SlotCounts.size())
+    SlotCounts.resize(static_cast<size_t>(Key) + 1, 0);
+  SlotCounts[Key] = N;
+  return N;
+}
+
+void Mutator::dropHandlersForForeignUnwind(size_t Base) {
+  assert(std::uncaught_exceptions() > 0 &&
+         "popping a frame with a live exception handler");
+  while (!Handlers.empty() && Handlers.back().FrameBase >= Base)
+    Handlers.pop_back();
+}
+
+MLRaise Mutator::unwindToHandler(Value Exn) {
   // An uncaught ML exception is a workload bug, but one that must die
   // loudly and identifiably in every build mode — the NDEBUG alternative
   // is unwinding through an empty handler stack into memory corruption.
@@ -220,7 +238,7 @@ void Mutator::raise(Value Exn) {
   MarkerManager *MM = GC->markerManager();
   uint32_t Key =
       MM ? MM->resolveKey(Stack, H.FrameBase) : Stack.keyOf(H.FrameBase);
-  uint32_t NumSlots = TraceTableRegistry::global().lookup(Key).numSlots();
+  uint32_t NumSlots = slotCount(Key);
 
   // Control jumps past the intervening frames without executing their
   // returns: retire jumped-over markers and update the watermark M (§5).
@@ -228,5 +246,5 @@ void Mutator::raise(Value Exn) {
     MM->onUnwind(H.FrameBase);
   Stack.unwindTo(H.FrameBase, NumSlots);
 
-  throw MLRaise{Exn, H.Id};
+  return MLRaise{Exn, H.Id};
 }

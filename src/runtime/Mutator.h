@@ -26,11 +26,21 @@
 ///
 /// ## Exceptions
 ///
-/// Mutator::raise unwinds the shadow stack directly to the innermost
-/// handler — one jump, exactly like a compiled `raise` — retiring
-/// jumped-over stack markers and updating the watermark M (paper §5). The
-/// C++ stack is unwound by a (contained) C++ exception; Frame destructors
-/// detect in-flight unwinding and skip their pop.
+/// Mutator::unwindToHandler unwinds the shadow stack directly to the
+/// innermost handler — one jump, exactly like a compiled `raise` — retiring
+/// jumped-over stack markers and updating the watermark M (paper §5), and
+/// returns the MLRaise. The mirrored C++ stack then unwinds by one of two
+/// transports:
+///
+///  * Mutator::raise throws the MLRaise, for handlers any number of C++
+///    frames up;
+///  * code whose handler is its direct C++ caller (Peg) returns the MLRaise
+///    by value, which costs a return instead of a C++ throw.
+///
+/// Either way a Frame destructor skips its pop when the stack top is at or
+/// below its base — exactly the frames the raise jumped over. A foreign C++
+/// exception (HeapExhausted, an injected fault) pops frames as it unwinds
+/// and drops the handlers they held.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +57,6 @@
 #include "stack/ShadowStack.h"
 
 #include <cstring>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -144,8 +153,9 @@ struct MutatorConfig {
   size_t TelemetryRingEvents = 4096;
 };
 
-/// The value an SML `raise` transports, plus the handler it targets. Thrown
-/// by Mutator::raise after the shadow stack has already been unwound.
+/// The value an SML `raise` transports, plus the handler it targets.
+/// Produced by Mutator::unwindToHandler once the shadow stack has been
+/// unwound; thrown by Mutator::raise or returned to the handler's frame.
 struct MLRaise {
   Value Exn;
   uint64_t HandlerId;
@@ -287,13 +297,15 @@ public:
   //===--------------------------------------------------------------------===
 
   size_t pushFrame(uint32_t Key) {
-    const FrameLayout &L = TraceTableRegistry::global().lookup(Key);
-    return Stack.pushFrame(Key, L.numSlots());
+    return Stack.pushFrame(Key, slotCount(Key));
   }
 
   void popFrame(size_t Base) {
-    assert((Handlers.empty() || Handlers.back().FrameBase != Base) &&
-           "popping a frame with a live exception handler");
+    // A handler at or above the frame survives only when a foreign C++
+    // exception is unwinding through it; a normal return must have popped
+    // it, which the slow path asserts.
+    if (TILGC_UNLIKELY(!Handlers.empty() && Handlers.back().FrameBase >= Base))
+      dropHandlersForForeignUnwind(Base);
     uint32_t Key = Stack.keyOf(Base);
     if (TILGC_UNLIKELY(Key == StubKey)) {
       // The "stub function" of §5: a marked frame is returning.
@@ -327,10 +339,16 @@ public:
     Handlers.pop_back();
   }
 
-  /// Raises \p Exn: unwinds the shadow stack directly to the innermost
-  /// handler's frame (one jump, as compiled code would), then throws MLRaise
-  /// to unwind the mirrored C++ stack.
-  [[noreturn]] void raise(Value Exn);
+  /// Raises \p Exn on the shadow stack: pops the innermost handler, unwinds
+  /// directly to its frame (one jump, as compiled code would) and returns
+  /// the MLRaise for the caller to deliver to that handler. Code whose
+  /// handler is its direct C++ caller returns it; all other code uses
+  /// raise().
+  [[nodiscard]] MLRaise unwindToHandler(Value Exn);
+
+  /// Raises \p Exn and throws the MLRaise to unwind the mirrored C++ stack
+  /// to the handler's catch clause.
+  [[noreturn]] void raise(Value Exn) { throw unwindToHandler(Exn); }
 
   //===--------------------------------------------------------------------===
   // Introspection / control.
@@ -364,6 +382,20 @@ private:
     size_t FrameBase;
     uint64_t Id;
   };
+
+  /// Frame size for \p Key, memoised per mutator. A key's first use goes
+  /// through the registry's checked lookup, so a bad key aborts in every
+  /// build mode.
+  uint32_t slotCount(uint32_t Key) {
+    if (TILGC_LIKELY(Key < SlotCounts.size() && SlotCounts[Key] != 0))
+      return SlotCounts[Key];
+    return learnSlotCount(Key);
+  }
+  uint32_t learnSlotCount(uint32_t Key);
+
+  /// popFrame's slow path: pops the handlers a foreign C++ exception left on
+  /// the frame at \p Base (and above) as it unwinds.
+  void dropHandlersForForeignUnwind(size_t Base);
 
   /// The allocation fast path (see the allocation section comment).
   Word *allocImpl(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
@@ -485,6 +517,8 @@ private:
   std::unique_ptr<Collector> OwnedGC;
   Collector *GC = nullptr;
   std::vector<HandlerEntry> Handlers;
+  /// slotCount's memo, indexed by key; 0 = not yet looked up.
+  std::vector<uint32_t> SlotCounts;
   uint64_t NextHandlerId = 0;
   uint64_t NumPointerUpdates = 0;
   uint64_t NumRaises = 0;
@@ -500,14 +534,12 @@ private:
 /// RAII activation record. See the file comment for the discipline.
 class Frame {
 public:
-  Frame(Mutator &M, uint32_t Key)
-      : M(M), ExnDepth(std::uncaught_exceptions()) {
-    FrameBase = M.pushFrame(Key);
-  }
+  Frame(Mutator &M, uint32_t Key) : M(M), FrameBase(M.pushFrame(Key)) {}
   ~Frame() {
-    // If an ML raise is unwinding the C++ stack, the shadow stack was
-    // already unwound in one jump; skip the individual pop.
-    if (std::uncaught_exceptions() > ExnDepth)
+    // A raise that jumped over this frame already unwound the shadow stack
+    // to below it, whichever transport carries the MLRaise up the C++
+    // stack; skip the individual pop.
+    if (M.stack().top() <= FrameBase)
       return;
     M.popFrame(FrameBase);
   }
@@ -535,7 +567,6 @@ public:
 private:
   Mutator &M;
   size_t FrameBase;
-  int ExnDepth;
 };
 
 } // namespace tilgc

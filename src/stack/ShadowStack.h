@@ -31,15 +31,22 @@ namespace tilgc {
 
 /// A contiguous stack of activation records plus the frame-base side chain
 /// used to iterate it.
+///
+/// The slot array is a lazily-zeroed anonymous reservation: pages are
+/// committed (and zero-filled by the host) on first touch, so a runtime
+/// instance pays for the stack depth it reaches, not for the capacity.
 class ShadowStack {
 public:
   explicit ShadowStack(size_t CapacitySlots = 1u << 22);
+  ~ShadowStack();
+  ShadowStack(const ShadowStack &) = delete;
+  ShadowStack &operator=(const ShadowStack &) = delete;
 
   /// Pushes a frame of \p NumSlots slots with return-address key \p Key.
   /// All non-key slots are zeroed (null pointers). Returns the frame base
   /// (the slot index of the key slot).
   size_t pushFrame(uint32_t Key, uint32_t NumSlots) {
-    assert(Top + NumSlots <= Slots.size() && "shadow stack overflow");
+    assert(Top + NumSlots <= Capacity && "shadow stack overflow");
     size_t Base = Top;
     Slots[Base] = Key;
     for (uint32_t I = 1; I < NumSlots; ++I)
@@ -91,7 +98,7 @@ public:
   /// True if \p P points into this stack's slot storage (collectors use
   /// this to filter stack slots out of heap remembered sets).
   bool ownsSlot(const Word *P) const {
-    return P >= Slots.data() && P < Slots.data() + Slots.size();
+    return P >= Slots && P < Slots + Capacity;
   }
 
   /// The return-address key of the frame at \p FrameBase. May be StubKey if
@@ -100,6 +107,10 @@ public:
     return static_cast<uint32_t>(Slots[FrameBase]);
   }
   void setKey(size_t FrameBase, uint32_t Key) { Slots[FrameBase] = Key; }
+
+  /// One past the topmost frame's last slot (0 when empty). A frame whose
+  /// base is at or above it has already been unwound by a raise.
+  size_t top() const { return Top; }
 
   size_t frameCount() const { return Bases.size(); }
   bool empty() const { return Bases.empty(); }
@@ -119,7 +130,8 @@ public:
   void resetWaterMark() { MinFrames = Bases.size(); }
 
 private:
-  std::vector<Word> Slots;
+  Word *Slots;
+  size_t Capacity;
   std::vector<size_t> Bases;
   size_t Top = 0;
   size_t MinFrames = 0;

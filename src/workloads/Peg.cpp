@@ -29,6 +29,7 @@
 
 #include "workloads/MLLib.h"
 
+#include <cassert>
 #include <vector>
 
 using namespace tilgc;
@@ -128,20 +129,23 @@ struct SearchCtx {
   uint64_t Checksum = 0;
 };
 
-/// The recursive solver. NEVER returns normally: it raises Fail when the
-/// subtree is exhausted and Abort when the node budget runs out (both in
-/// the Prolog-translation style the paper's benchmark came from).
-[[noreturn]] void solve(SearchCtx &C, int Pegs) {
+/// The recursive solver. Every exit is a raise: Fail when the subtree is
+/// exhausted and Abort when the node budget runs out (both in the
+/// Prolog-translation style the paper's benchmark came from). The handler
+/// is always the direct caller's, so each raise unwinds the shadow stack
+/// and hands the MLRaise back by value instead of throwing it.
+[[nodiscard]] MLRaise solve(SearchCtx &C, int Pegs) {
   Mutator &M = C.M;
   Frame F(M, keySolve()); // 1 = fresh peg, 2 = trail cell, 3 = scratch.
 
   ++C.Nodes;
   if (C.Nodes >= C.Budget)
-    M.raise(C.Top.get(3)); // Abort.
+    return M.unwindToHandler(C.Top.get(3)); // Abort.
   if (Pegs == 1) {
     ++C.Solutions;
     C.Checksum = C.Checksum * 31 + 77;
-    M.raise(C.Top.get(2)); // Keep enumerating: a solution is also a "fail".
+    // Keep enumerating: a solution is also a "fail".
+    return M.unwindToHandler(C.Top.get(2));
   }
 
   const BoardGeometry &G = geometry();
@@ -175,15 +179,10 @@ struct SearchCtx {
     M.writeField(C.Top.get(1), static_cast<uint32_t>(Mv.Over), Value::null(),
                  true);
 
-    uint64_t H = M.pushHandler(F.base());
-    bool Aborting = false;
-    try {
-      solve(C, Pegs - 1);
-    } catch (MLRaise &R) {
-      if (R.HandlerId != H)
-        throw;
-      Aborting = isAbort(R.Exn);
-    }
+    [[maybe_unused]] uint64_t H = M.pushHandler(F.base());
+    MLRaise R = solve(C, Pegs - 1);
+    assert(R.HandlerId == H && "Peg raises target the caller's handler");
+    bool Aborting = isAbort(R.Exn);
 
     // Undo: two fresh pegs back, landing cell cleared (three more
     // barriered stores).
@@ -197,9 +196,9 @@ struct SearchCtx {
                  true);
 
     if (Aborting)
-      M.raise(C.Top.get(3)); // Re-raise level by level.
+      return M.unwindToHandler(C.Top.get(3)); // Re-raise level by level.
   }
-  M.raise(C.Top.get(2)); // Subtree exhausted.
+  return M.unwindToHandler(C.Top.get(2)); // Subtree exhausted.
 }
 
 /// Reference search with identical traversal and counters.
@@ -272,14 +271,10 @@ public:
     Top.set(3, mkExn(M, 1)); // Abort.
 
     SearchCtx C{M, Top, budgetFor(Scale)};
-    uint64_t H = M.pushHandler(Top.base());
-    try {
-      solve(C, NumCells - 1);
-    } catch (MLRaise &R) {
-      if (R.HandlerId != H)
-        throw;
-      // Fail = exhausted the whole tree; Abort = budget. Both fine.
-    }
+    [[maybe_unused]] uint64_t H = M.pushHandler(Top.base());
+    // Fail = exhausted the whole tree; Abort = budget. Both fine.
+    [[maybe_unused]] MLRaise R = solve(C, NumCells - 1);
+    assert(R.HandlerId == H && "Peg raises target the caller's handler");
     // Trail-keeping cons so the trail site exists in profiles.
     Top.set(3, Value::null());
     Top.set(2, consInt(M, siteTrail(), static_cast<int64_t>(C.Nodes),

@@ -261,10 +261,13 @@ struct ScopedFaults {
 
 TEST(SafepointTorture, StallFaultStretchesRendezvousSafely) {
   ScopedFaults Guard;
-  // Park attempts 10..510 sleep 1ms before parking: threads arrive at the
+  // Park attempts 1..500 sleep 1ms before parking: threads arrive at the
   // rendezvous maximally skewed while others block in allocation. Bounded
-  // so the injected delay cannot exceed ~0.5s of the run.
-  FaultInjector::global().arm(FaultPoint::SafepointStall, 10,
+  // so the injected delay cannot exceed ~0.5s of the run. The schedule
+  // starts at the first park attempt: threads that exhaust their TLABs
+  // together park inside their own stop requests instead, so a run may
+  // see only a handful of park attempts.
+  FaultInjector::global().arm(FaultPoint::SafepointStall, 1,
                               /*FireCount=*/500);
   const unsigned K = 4;
   const double Scale = 0.05;

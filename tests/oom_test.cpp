@@ -334,6 +334,14 @@ TEST(OomProtocolDeath, HostAllocationFailureDiesStructurally) {
       "space reservation of .* failed: host out of memory");
 }
 
+TEST(OomProtocolDeath, ShadowStackReservationFailureDiesStructurally) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A slot capacity past the host's address space: the mapping is refused
+  // and the stack dies through the always-on fatal path.
+  EXPECT_DEATH({ ShadowStack S(size_t{1} << 60); },
+               "shadow stack reservation of .* failed");
+}
+
 //===----------------------------------------------------------------------===//
 // Multi-mutator exhaustion: a hard cap shared by K threads must surface a
 // catchable HeapExhausted on EVERY thread (each unwinds through its own
