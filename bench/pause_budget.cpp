@@ -21,6 +21,10 @@
 // tens of milliseconds). The zero-budget baseline column shows what the
 // same heap pays for monolithic majors, i.e. what the budget bought.
 //
+// Each record also carries the slice count and the median and mean slice
+// pause, so the fixed cost of a slice that marks almost nothing stays
+// visible next to the tail it buys.
+//
 // --mutators=N restricts the sweep to one mutator count (CI smoke).
 //
 //===----------------------------------------------------------------------===//
@@ -28,11 +32,13 @@
 #include "Harness.h"
 
 #include "gc/GenerationalCollector.h"
+#include "observe/GcObserver.h"
 #include "observe/GcTelemetry.h"
 #include "runtime/MutatorGroup.h"
 #include "support/Table.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,10 +59,21 @@ struct Run {
   uint64_t NumMajor = 0;
   uint64_t Cycles = 0;
   uint64_t Slices = 0;
+  uint64_t SliceP50Ns = 0;
+  uint64_t SliceMeanNs = 0;
   bool Valid = false;
 };
 
-Run harvest(Mutator &M, double WallSec, bool Valid) {
+/// Collects the pause of every incremental mark slice.
+struct SliceObserver : GcObserver {
+  std::vector<uint64_t> PauseNs;
+  void onGcEnd(const GcEvent &E) override {
+    if (E.Slice)
+      PauseNs.push_back(E.PauseNs);
+  }
+};
+
+Run harvest(Mutator &M, double WallSec, bool Valid, SliceObserver &Obs) {
   Run R;
   R.WallSec = WallSec;
   const PauseHistogram &H = M.telemetry().histogram(GcGeneration::Major);
@@ -67,6 +84,15 @@ Run harvest(Mutator &M, double WallSec, bool Valid) {
   auto &GC = static_cast<GenerationalCollector &>(M.collector());
   R.Cycles = GC.incrementalCycles();
   R.Slices = GC.incrementalSlices();
+  std::vector<uint64_t> &P = Obs.PauseNs;
+  if (!P.empty()) {
+    uint64_t Sum = 0;
+    for (uint64_t Ns : P)
+      Sum += Ns;
+    R.SliceMeanNs = Sum / P.size();
+    std::nth_element(P.begin(), P.begin() + P.size() / 2, P.end());
+    R.SliceP50Ns = P[P.size() / 2];
+  }
   R.Valid = Valid;
   return R;
 }
@@ -82,6 +108,8 @@ Run runCase(Workload &W, unsigned Mutators, uint32_t BudgetUs, double Scale) {
   C.Name = W.name();
   C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
   C.MaxPauseMicros = BudgetUs;
+  SliceObserver Obs;
+  C.Observer = &Obs;
   uint64_t Want = W.expected(Scale);
 
   if (Mutators == 1) {
@@ -92,7 +120,7 @@ Run runCase(Workload &W, unsigned Mutators, uint32_t BudgetUs, double Scale) {
     Mutator M(C);
     uint64_t Sum = W.run(M, Scale);
     T.stop();
-    return harvest(M, T.seconds(), Sum == Want);
+    return harvest(M, T.seconds(), Sum == Want, Obs);
   }
 
   // Shared budget scales with the thread count so per-thread GC pressure
@@ -110,7 +138,7 @@ Run runCase(Workload &W, unsigned Mutators, uint32_t BudgetUs, double Scale) {
   bool Valid = true;
   for (uint64_t Sum : Sums)
     Valid = Valid && Sum == Want;
-  return harvest(G.mutator(0), T.seconds(), Valid);
+  return harvest(G.mutator(0), T.seconds(), Valid, Obs);
 }
 
 } // namespace
@@ -163,6 +191,7 @@ int main(int Argc, char **Argv) {
               "%llu,\n"
               "   \"stock_p99_ns\": %llu, \"num_major\": %llu,\n"
               "   \"cycles\": %llu, \"slices\": %llu,\n"
+              "   \"slice_p50_ns\": %llu, \"slice_mean_ns\": %llu,\n"
               "   \"wall_sec\": %.6f, \"valid\": %s}",
               FirstRecord ? "" : ",\n", W.name(), M, Gated ? "true" : "false",
               BudgetsUs[B], (unsigned long long)BudgetNs,
@@ -172,7 +201,9 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Stock.P99Ns,
               (unsigned long long)Budgeted[B].NumMajor,
               (unsigned long long)Budgeted[B].Cycles,
-              (unsigned long long)Budgeted[B].Slices, Budgeted[B].WallSec,
+              (unsigned long long)Budgeted[B].Slices,
+              (unsigned long long)Budgeted[B].SliceP50Ns,
+              (unsigned long long)Budgeted[B].SliceMeanNs, Budgeted[B].WallSec,
               Budgeted[B].Valid ? "true" : "false");
           FirstRecord = false;
         }

@@ -117,7 +117,9 @@ public:
   // the same metadata/accounting steps through the wrappers below and
   // falls back to allocate() whenever the bump fails or the conditions
   // change. Any collection invalidates the mutator's cached space (it
-  // re-validates against stats().NumGC).
+  // re-validates against stats().NumGC). The bump is bounded by the
+  // space's inline stop (Space::allocateInline), which a collector may
+  // lower to turn the fast path's limit check into a safepoint.
 
   /// Whether allocations from \p SiteId may use the inline fast path at
   /// all (generational pretenuring routes some sites elsewhere).
@@ -137,8 +139,8 @@ public:
   /// The space a mutator-group TLAB refill may carve blocks from, or null
   /// to force the refill through the stop-the-world slow path. Defaults to
   /// the inline-alloc space; the pause-budget incremental mode overrides
-  /// this so TLABs stay live between slices while the single-mutator
-  /// inline path is disabled for per-allocation slice polling.
+  /// this so a refill fails exactly when a slice is due (block grants
+  /// ignore the inline stop that schedules the single-mutator slices).
   virtual Space *tlabAllocSpace(size_t &MaxBytes) {
     return inlineAllocSpace(MaxBytes);
   }

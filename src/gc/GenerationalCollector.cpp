@@ -113,9 +113,10 @@ void GenerationalCollector::noteFootprint() {
 
 Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
                                       uint32_t PtrMask, uint32_t SiteId) {
-  // Pause-budget mode: with a cycle live every allocation passes through
-  // here (the inline fast path is disabled), making allocation the slice
-  // safepoint — exactly the paper's safe-point discipline, reused.
+  // Pause-budget mode: the slice safepoint. With a cycle live the
+  // mutator's inline path stops at the next slice's stop (lowerInlineStop),
+  // so the allocation that reaches it lands here and runs the slice —
+  // the paper's poll-at-the-allocation-limit discipline, reused.
   if (TILGC_UNLIKELY(IncCycleLive))
     incrementalTick();
 
@@ -169,6 +170,7 @@ Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
     if (TILGC_UNLIKELY(IncCycleLive)) {
       IncNewLOS.push_back(Payload);
       IncLosBytesSinceSlice += Total;
+      lowerInlineStop();
     }
     LOSAllocSinceGC += Total;
     noteFootprint();
@@ -714,6 +716,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
     // epoch gets its full complement of slices.
     IncSliceStrideBytes = incrementalStrideBytes();
     IncNextSliceNurseryBytes = IncSliceStrideBytes;
+    lowerInlineStop();
     if (TenuredFrom->freeBytes() < NurseryFrom->capacityBytes())
       doMajor(0, GcTrigger::TenuredPressure); // force-finishes the cycle
   } else if (TILGC_UNLIKELY(incrementalModeActive()) &&
@@ -1533,49 +1536,70 @@ void GenerationalCollector::startIncrementalCycle(bool RescanRoots) {
   IncSliceStrideBytes = incrementalStrideBytes();
   IncLosBytesSinceSlice = 0;
   IncNextSliceNurseryBytes = NurseryFrom->usedBytes() + IncSliceStrideBytes;
+  lowerInlineStop();
 }
 
 void GenerationalCollector::incrementalTick() {
   if (!incrementalSliceDue())
     return;
-  TimerScope Gc(Stats.GcTime);
+  // One clock read opens the slice: GcTime, the event, the phase, CopyTime,
+  // the pause budget and markStep all start at this stamp. GcTime still
+  // closes with its own read, after the event and any recover finish.
+  uint64_t BeginNs = GcTelemetry::nowNs();
+  TimerScope Gc(Stats.GcTime, BeginNs);
   FaultInjector::ScopedGcPhase InGc;
-  runIncrementalSlice();
+  runIncrementalSlice(BeginNs);
 }
 
-void GenerationalCollector::runIncrementalSlice() {
+void GenerationalCollector::runIncrementalSlice(uint64_t BeginNs) {
   ++Stats.NumGC; // Invalidates mutator fast-path epochs; NumMajorGC is
                  // bumped once, by the finishing collection.
   ++IncSliceCount;
-  Tel.beginCollection(GcGeneration::Major, IncTrigger, Stats.NumGC);
+  Tel.beginCollection(GcGeneration::Major, IncTrigger, Stats.NumGC, BeginNs);
+  if (GcEvent *Ev = Tel.currentEvent())
+    Ev->Slice = true;
   GcWatchScope WatchScope(*this);
-  {
-    TimerScope T(Stats.CopyTime);
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::IncrementalMark);
-    uint64_t SliceBeginNs = GcTelemetry::nowNs();
+  // Marking throws nothing (markStep has no abort point), so the phase and
+  // CopyTime open and close at explicit stamps rather than in scopes.
+  Tel.enterPhase(GcPhase::IncrementalMark, BeginNs);
+  Stats.CopyTime.startAt(BeginNs);
+  // Budget half the pause for the whole slice: the histogram's percentile
+  // reports bucket upper edges (2x resolution), so a half-budget target
+  // keeps the reported p99 under the full budget. The grey-drain runs to
+  // the slice's half-budget deadline, or — when the SATB drain already
+  // spent it — for a floor past the drain, so marking always advances
+  // even behind a mutation storm.
+  uint64_t HalfNs = static_cast<uint64_t>(Opts.MaxPauseMicros) * 1000 / 2;
+  uint64_t MarkFromNs = BeginNs;
+  uint64_t MarkBudgetNs = HalfNs;
+  if (!Satb.empty()) {
     // The deletion-barrier backlog first: its entries are exactly the
     // snapshot edges the mutator severed since the last slice.
     for (Word Bits : Satb.values())
       IncMC->markSeed(Bits);
     Satb.clear();
-    // Budget half the pause for the whole slice: the histogram's
-    // percentile reports bucket upper edges (2x resolution), so a
-    // half-budget target keeps the reported p99 under the full budget.
-    // The SATB drain above already spent part of it; the grey-drain gets
-    // the remainder, with a floor so marking always advances even behind
-    // a mutation storm.
-    uint64_t HalfNs = static_cast<uint64_t>(Opts.MaxPauseMicros) * 1000 / 2;
-    uint64_t SpentNs = GcTelemetry::nowNs() - SliceBeginNs;
-    IncMC->markStep(SpentNs < HalfNs ? HalfNs - SpentNs : HalfNs / 16 + 1);
+    uint64_t DrainedNs = GcTelemetry::nowNs();
+    if (DrainedNs - BeginNs >= HalfNs) {
+      MarkFromNs = DrainedNs;
+      MarkBudgetNs = HalfNs / 16 + 1;
+    }
   }
-  if (TILGC_UNLIKELY(effectiveVerifyLevel() >= 2))
+  IncMC->markStep(MarkFromNs, MarkBudgetNs);
+  // The one closing read: the phase, CopyTime and the event end here.
+  uint64_t EndNs = GcTelemetry::nowNs();
+  Stats.CopyTime.stopAt(EndNs);
+  Tel.exitPhase(GcPhase::IncrementalMark, EndNs);
+  if (TILGC_UNLIKELY(effectiveVerifyLevel() >= 2)) {
     auditTricolorInvariant();
-  Tel.endCollection();
+    EndNs = GcTelemetry::nowNs(); // The audit is part of the pause.
+  }
+  Tel.endCollection(EndNs);
   // Re-arm both pacing legs relative to the current fill so every slice
   // costs one stride of fresh allocation.
   IncSliceStrideBytes = incrementalStrideBytes();
   IncNextSliceNurseryBytes = NurseryFrom->usedBytes() + IncSliceStrideBytes;
   IncLosBytesSinceSlice = 0;
+  lowerInlineStop();
 
   // Watchdog Recover escalation: the supervisor decided the cycle has
   // overstayed its deadline. Fall back to the stop-the-world completion —
@@ -1650,7 +1674,7 @@ void GenerationalCollector::finishIncrementalCycle(size_t NeedTenuredBytes,
       });
       for (Word *Payload : IncNewLOS)
         M.markSeed(reinterpret_cast<Word>(Payload));
-      M.markStep(~0ull);
+      M.markStep(0, ~0ull); // No deadline: drain to empty.
       M.finishIncrementalMark();
     }
     Stats.MarkWorkerFaults += M.workerFaults();
@@ -1707,6 +1731,7 @@ void GenerationalCollector::clearIncrementalState() {
   IncNextSliceNurseryBytes = 0;
   IncSliceStrideBytes = 0;
   IncLosBytesSinceSlice = 0;
+  NurseryFrom->clearInlineStop();
   disarmGcWatchdog(); // Releases the cycle-long hold taken at start.
 }
 

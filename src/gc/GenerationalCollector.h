@@ -217,20 +217,19 @@ public:
   }
   Space *inlineAllocSpace(size_t &MaxBytes) override {
     MaxBytes = Opts.LargeObjectThresholdBytes;
-    // While an incremental cycle is live every allocation must reach
-    // allocate() so the slice scheduler can run: disabling the fast path
-    // (the mutator re-validates per GC epoch, and every slice bumps the
-    // epoch) is what makes allocation the slice safepoint.
-    if (TILGC_UNLIKELY(IncCycleLive))
-      return nullptr;
+    // The inline path stays live during an incremental cycle: the
+    // nursery's inline stop sits at the next slice's stop (see
+    // lowerInlineStop), so the bump that reaches it falls to allocate(),
+    // whose poll runs the slice.
     return NurseryFrom;
   }
   Space *tlabAllocSpace(size_t &MaxBytes) override {
     MaxBytes = Opts.LargeObjectThresholdBytes;
     // Group runtime: TLABs stay live during an incremental cycle (a
     // per-allocation poll would serialize every thread through the stop-
-    // the-world path); instead a refill fails exactly when a slice is due,
-    // funneling one thread into allocateStopped -> one slice per stop.
+    // the-world path); instead a refill fails exactly when a slice is due
+    // (the rule the single-mutator inline stop encodes), funneling one
+    // thread into allocateStopped -> one slice per stop.
     if (TILGC_UNLIKELY(IncCycleLive) && incrementalSliceDue())
       return nullptr;
     return NurseryFrom;
@@ -389,8 +388,24 @@ private:
     // path while peers CAS block grants off the same nursery. The check is
     // advisory — a stale value shifts the slice by one refill at most.
     return NurseryFrom->usedBytesRelaxed() >= IncNextSliceNurseryBytes ||
-           (IncSliceStrideBytes &&
-            IncLosBytesSinceSlice >= IncSliceStrideBytes);
+           losSliceDue();
+  }
+  /// The LOS pacing leg of incrementalSliceDue.
+  bool losSliceDue() const {
+    return IncSliceStrideBytes && IncLosBytesSinceSlice >= IncSliceStrideBytes;
+  }
+  /// Puts the next slice's stop on the mutator's inline path: the nursery's
+  /// inline stop drops to the watermark, or to the current fill once the
+  /// LOS leg is due. Every allocation made while incrementalSliceDue holds
+  /// fails the inline bump (the stop rounds the byte watermark down to a
+  /// word, and every object is at least two words), and one that falls to
+  /// allocate() early runs no slice there, so the allocation that runs a
+  /// slice is the one that would have run it with every allocation
+  /// polling. Called wherever the schedule moves; reset() and
+  /// clearIncrementalState raise the stop again.
+  void lowerInlineStop() {
+    NurseryFrom->setInlineStopBytes(losSliceDue() ? NurseryFrom->usedBytes()
+                                                  : IncNextSliceNurseryBytes);
   }
   /// Allocation distance between slices: 1/128 of a nursery load, with a
   /// floor so tiny test heaps don't slice every few objects. The divisor
@@ -415,10 +430,11 @@ private:
   void startIncrementalCycle(bool RescanRoots);
   /// allocate()-entry poll: runs one slice if due.
   void incrementalTick();
-  /// One bounded mark increment: its own major GcEvent, SATB drain,
-  /// budgeted grey-draining, optional tricolor audit, recover-request
-  /// poll (a recover bark finishes the cycle stop-the-world).
-  void runIncrementalSlice();
+  /// One bounded mark increment starting at \p BeginNs: its own major
+  /// GcEvent, SATB drain, budgeted grey-draining, optional tricolor audit,
+  /// recover-request poll (a recover bark finishes the cycle
+  /// stop-the-world).
+  void runIncrementalSlice(uint64_t BeginNs);
   /// Stop-the-world cycle completion: fresh root scan, final seeds (roots,
   /// SATB backlog, cycle-era allocations), full drain, then the shared
   /// post-mark body. Any forced major during a live cycle lands here.

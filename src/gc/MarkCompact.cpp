@@ -414,11 +414,10 @@ void MarkCompact::markSeed(Word Bits) {
   markObject(reinterpret_cast<Word *>(Bits), *Workers[0]);
 }
 
-bool MarkCompact::markStep(uint64_t BudgetNs) {
+bool MarkCompact::markStep(uint64_t StartNs, uint64_t BudgetNs) {
   assert(Phase == Fresh && !Workers.empty() &&
          "markStep outside an incremental mark");
   Worker &W = *Workers[0];
-  uint64_t Start = GcTelemetry::nowNs();
   Word *P;
   uint64_t Scanned = 0;
   // No abortPoint here: an injected MarkPlanThrow mid-slice could not be
@@ -427,7 +426,7 @@ bool MarkCompact::markStep(uint64_t BudgetNs) {
   while (popLocal(W, P)) {
     scanObject(P, W);
     if (TILGC_UNLIKELY((++Scanned & 63) == 0) &&
-        GcTelemetry::nowNs() - Start >= BudgetNs)
+        GcTelemetry::nowNs() - StartNs >= BudgetNs)
       return W.Local.empty(); // Serial: nothing is ever published to the
                               // deque, so the private stack is the grey set.
   }

@@ -213,9 +213,12 @@ public:
   /// young pointers.
   void markSeed(Word Bits);
 
-  /// Drains grey work for at most \p BudgetNs wall-clock. Returns true
-  /// when no grey work remains (the slice finished the current closure).
-  bool markStep(uint64_t BudgetNs);
+  /// Drains grey work until \p BudgetNs wall-clock past \p StartNs (a
+  /// GcTelemetry::nowNs() stamp the caller already holds). Reads the clock
+  /// only every 64 scanned objects, so an empty grey set costs none.
+  /// Returns true when no grey work remains (the slice finished the
+  /// current closure).
+  bool markStep(uint64_t StartNs, uint64_t BudgetNs);
 
   /// Re-enables young-pointer marking for the cycle-finishing collection.
   void enableYoungMarking() { IncSkipYoung = false; }

@@ -43,12 +43,12 @@ void Space::reserve(size_t Bytes) {
          "space must be word-aligned");
   Next = Base;
   Limit = Base + Words;
-  SoftLimit = Limit;
+  SoftLimit = InlineStop = Limit;
   ++ReserveEpoch;
 }
 
 void Space::release() {
   std::free(Base);
-  Base = Next = Limit = SoftLimit = nullptr;
+  Base = Next = Limit = SoftLimit = InlineStop = nullptr;
   ++ReserveEpoch;
 }

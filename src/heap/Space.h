@@ -58,6 +58,43 @@ public:
     return Payload;
   }
 
+  /// allocate() for the mutator's inline fast path: the same bump, bounded
+  /// by the inline stop instead of the soft limit. The stop equals the soft
+  /// limit unless a collector lowered it to put a safepoint on the fast
+  /// path (the pause-budget slice schedule); an allocation that would cross
+  /// it returns nullptr and the mutator falls to the collector's
+  /// allocate(), which runs whatever work the stop was waiting for.
+  ///
+  /// The body repeats allocate()'s rather than sharing a helper: routing
+  /// allocate() through one changes GCC's inlining of the evacuator's
+  /// copy loop, which inlines allocate().
+  Word *allocateInline(Word Descriptor, Word Meta) {
+    uint32_t Total = objectTotalWords(Descriptor);
+    if (TILGC_UNLIKELY(Next + Total > InlineStop))
+      return nullptr;
+    if (TILGC_UNLIKELY(FaultInjector::enabled()) &&
+        FaultInjector::global().shouldFire(FaultPoint::SpaceAllocNull))
+      return nullptr;
+    Word *Payload = Next + HeaderWords;
+    Next[0] = Descriptor;
+    Next[1] = Meta;
+    Next += Total;
+    return Payload;
+  }
+
+  /// Lowers the inline stop to \p Bytes from the base (clamped to the soft
+  /// limit). A stop at or below the frontier fails every inline allocation.
+  /// Cleared by clearInlineStop() and by anything that moves the soft
+  /// limit or the frontier (reserve, release, reset, setSoftLimitBytes,
+  /// setFrontier): a stop is relative to the fill it was set against.
+  void setInlineStopBytes(size_t Bytes) {
+    size_t Words = Bytes / sizeof(Word);
+    InlineStop =
+        Words < static_cast<size_t>(SoftLimit - Base) ? Base + Words : SoftLimit;
+  }
+  /// Raises the inline stop back to the soft limit.
+  void clearInlineStop() { InlineStop = SoftLimit; }
+
   /// Atomically carves a block of up to \p MaxWords (at least \p MinWords)
   /// off the allocation frontier. This is the parallel evacuator's handout
   /// API: workers bump-allocate privately inside their block, so only the
@@ -103,7 +140,10 @@ public:
   const Word *limitAddr() const { return Limit; }
 
   /// Empties the space (objects become garbage; storage is retained).
-  void reset() { Next = Base; }
+  void reset() {
+    Next = Base;
+    InlineStop = SoftLimit;
+  }
 
   /// Caps allocation at \p Bytes without releasing storage — how the
   /// semispace collector shrinks a space that still holds live data (the
@@ -113,6 +153,7 @@ public:
     SoftLimit = Base + Words > Limit ? Limit : Base + Words;
     if (SoftLimit < Next)
       SoftLimit = Next;
+    InlineStop = SoftLimit;
   }
 
   size_t capacityBytes() const {
@@ -169,6 +210,7 @@ public:
     Next = NewFrontier;
     if (SoftLimit < Next)
       SoftLimit = Next;
+    InlineStop = SoftLimit;
   }
 
   /// Monotonic count of reserve()/release() calls. Side tables bound to
@@ -206,6 +248,8 @@ private:
   Word *Next = nullptr;
   Word *Limit = nullptr;
   Word *SoftLimit = nullptr;
+  /// Bound for allocateInline(); equals SoftLimit unless lowered.
+  Word *InlineStop = nullptr;
   uint64_t ReserveEpoch = 0;
 };
 

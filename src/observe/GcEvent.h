@@ -120,6 +120,10 @@ struct GcEvent {
   /// True when the Hybrid barrier degraded SSB→cards since the previous
   /// collection. Mutator-side and placement-independent: deterministic.
   bool HybridSwitched = false;
+  /// Pause-budget mode: one incremental mark slice — a Major event that
+  /// GcStats::NumMajorGC does not count (the cycle's finish is not a
+  /// slice).
+  bool Slice = false;
 
   // --- Engine-dependent counters (like BytesPromoted, excluded from the
   // deterministic slice): dirty-card geometry depends on where promotion

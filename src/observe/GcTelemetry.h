@@ -11,11 +11,17 @@
 ///
 /// Cost discipline (mirrors support/FaultInjector.h):
 ///  - Nothing on the allocation path, ever.
-///  - Per collection with no observer: two steady_clock reads plus one
-///    histogram increment (the bench tables report pause percentiles
-///    unconditionally, so histograms cannot be gated), and one relaxed
-///    load deciding that everything else — phase stamps, event assembly,
-///    worker spans, callback dispatch — is skipped.
+///  - Per collection with no observer: one histogram increment (the bench
+///    tables report pause percentiles unconditionally, so histograms
+///    cannot be gated) and one relaxed load deciding that everything else
+///    — phase stamps, event assembly, worker spans, callback dispatch — is
+///    skipped.
+///  - Clock stamps are caller-supplied where the caller already holds one:
+///    beginCollection/endCollection and enterPhase/exitPhase take an
+///    optional nowNs() stamp, so a collection whose timers and phases open
+///    and close with its event (a pause-budget mark slice) reads the clock
+///    once at each end. Without a stamp they read it themselves — two
+///    reads per collection.
 ///  - Phase scopes and worker stamps check `armed()` (relaxed) before
 ///    touching the clock.
 ///
@@ -36,6 +42,7 @@
 #include "support/Watchdog.h"
 #include "observe/PauseHistogram.h"
 #include "support/Compiler.h"
+#include "support/Timer.h"
 
 #include <atomic>
 #include <cstdint>
@@ -47,10 +54,10 @@ class GcTelemetry {
 public:
   GcTelemetry() { Current.WorkerSpans.reserve(8); }
 
-  /// Monotonic nanoseconds since the first telemetry use in this process.
-  /// Static so evacuation workers can stamp spans without a telemetry
-  /// reference.
-  static uint64_t nowNs();
+  /// Monotonic nanoseconds since the first clock use in this process — the
+  /// clock Timer reads too, so one stamp can feed both. Static so
+  /// evacuation workers can stamp spans without a telemetry reference.
+  static uint64_t nowNs() { return monotonicNowNs(); }
 
   void addObserver(GcObserver *O) {
     if (!O)
@@ -67,13 +74,14 @@ public:
   // --- Collection lifecycle --------------------------------------------
 
   /// Open the event for collection number Seq (== GcStats::NumGC after the
-  /// increment). Always call it; the disarmed path only notes Gen and the
-  /// begin timestamp for the histogram.
-  void beginCollection(GcGeneration Gen, GcTrigger Trigger, uint64_t Seq);
+  /// increment) at \p NowNs. Always call it; the disarmed path only notes
+  /// Gen and the begin timestamp for the histogram.
+  void beginCollection(GcGeneration Gen, GcTrigger Trigger, uint64_t Seq,
+                       uint64_t NowNs = nowNs());
 
-  /// Close the event: computes the pause, feeds the per-generation
-  /// histogram, and (armed) dispatches onGcEnd.
-  void endCollection();
+  /// Close the event at \p NowNs: computes the pause, feeds the
+  /// per-generation histogram, and (armed) dispatches onGcEnd.
+  void endCollection(uint64_t NowNs = nowNs());
 
   /// The in-flight event, or nullptr outside a collection or when
   /// disarmed. Collectors use this to fill counters without re-checking
@@ -95,6 +103,19 @@ public:
       LivePhase.store(255, std::memory_order_relaxed);
     if (TILGC_UNLIKELY(armed()) && InCollection)
       exitPhaseSlow(P);
+  }
+  /// enterPhase/exitPhase at a nowNs() stamp the caller already read.
+  void enterPhase(GcPhase P, uint64_t NowNs) {
+    if (TILGC_UNLIKELY(LivePhasePub))
+      LivePhase.store(static_cast<uint8_t>(P), std::memory_order_relaxed);
+    if (TILGC_UNLIKELY(armed()) && InCollection)
+      enterPhaseSlow(P, NowNs);
+  }
+  void exitPhase(GcPhase P, uint64_t NowNs) {
+    if (TILGC_UNLIKELY(LivePhasePub))
+      LivePhase.store(255, std::memory_order_relaxed);
+    if (TILGC_UNLIKELY(armed()) && InCollection)
+      exitPhaseSlow(P, NowNs);
   }
 
   /// RAII phase scope; no-op when disarmed.
@@ -170,6 +191,8 @@ public:
 private:
   void enterPhaseSlow(GcPhase P);
   void exitPhaseSlow(GcPhase P);
+  void enterPhaseSlow(GcPhase P, uint64_t NowNs);
+  void exitPhaseSlow(GcPhase P, uint64_t NowNs);
   void consumePendingSafepoint();
 
   std::atomic<bool> Armed{false};

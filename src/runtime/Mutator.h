@@ -196,9 +196,10 @@ public:
   // collection invalidates the cache (stats().NumGC is the epoch). Sites
   // the collector routes elsewhere (pretenured) and objects over the bound
   // (large arrays) fall through to the collector's full allocate(), as
-  // does any bump failure — so the slow path's semantics are preserved
-  // exactly; the fast path only skips the virtual dispatch and the
-  // per-call placement re-derivation.
+  // does any bump failure — including one at an inline stop the collector
+  // lowered to schedule work (Space::allocateInline) — so the slow path's
+  // semantics are preserved exactly; the fast path only skips the virtual
+  // dispatch and the per-call placement re-derivation.
   //===--------------------------------------------------------------------===
 
   /// A record of \p NumFields fields; bit i of \p PtrMask marks field i as
@@ -410,7 +411,8 @@ private:
       }
       if (TILGC_LIKELY(FastSpace &&
                        objectTotalBytes(Descriptor) < FastMaxBytes)) {
-        Word *Payload = FastSpace->allocate(Descriptor, GC->objectMeta(Site));
+        Word *Payload =
+            FastSpace->allocateInline(Descriptor, GC->objectMeta(Site));
         if (TILGC_LIKELY(Payload != nullptr)) {
           GC->noteAllocated(Kind, Descriptor, Site);
           std::memset(Payload, 0,

@@ -1,0 +1,18 @@
+//===- support/Timer.cpp - Accumulating wall-clock timers ------------------===//
+//
+// Part of the tilgc project (PLDI'98 GC reproduction).
+//
+//===----------------------------------------------------------------------===//
+
+#include "support/Timer.h"
+
+#include <chrono>
+
+uint64_t tilgc::monotonicNowNs() {
+  using Clock = std::chrono::steady_clock;
+  static const Clock::time_point Epoch = Clock::now();
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           Epoch)
+          .count());
+}

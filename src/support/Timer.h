@@ -26,6 +26,10 @@
 ///  * reset() while running is counted, zeroes the total and restarts
 ///    the open region at now (the depth is preserved).
 ///
+/// Timers and the GC telemetry plane read one clock, monotonicNowNs().
+/// startAt()/stopAt() take a stamp the caller already holds, so a region
+/// that opens or closes together with a pause event costs no extra read.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TILGC_SUPPORT_TIMER_H
@@ -38,30 +42,33 @@
 
 namespace tilgc {
 
+/// Monotonic nanoseconds since the first call in this process (steady
+/// clock). Out of line, so a timer site costs a call, not an inlined
+/// static-initialisation guard.
+uint64_t monotonicNowNs();
+
 /// An accumulating stopwatch with counted misuse tolerance (see the file
 /// comment).
 class Timer {
 public:
   void start() {
-    if (TILGC_UNLIKELY(Depth != 0)) {
-      ++Depth;
-      ++MisuseCount;
-      return; // Keep the outer region's start point.
-    }
-    Depth = 1;
-    Begin = Clock::now();
+    if (enter())
+      BeginNs = monotonicNowNs();
+  }
+  /// start() with a monotonicNowNs() stamp the caller already read.
+  void startAt(uint64_t NowNs) {
+    if (enter())
+      BeginNs = NowNs;
   }
 
   void stop() {
-    if (TILGC_UNLIKELY(Depth == 0)) {
-      ++MisuseCount;
-      return;
-    }
-    if (--Depth != 0)
-      return; // Inner stop of a (misused) nest: outermost stop accumulates.
-    AccumulatedNs += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         Clock::now() - Begin)
-                         .count();
+    if (leave())
+      AccumulatedNs += static_cast<int64_t>(monotonicNowNs() - BeginNs);
+  }
+  /// stop() with a monotonicNowNs() stamp the caller already read.
+  void stopAt(uint64_t NowNs) {
+    if (leave())
+      AccumulatedNs += static_cast<int64_t>(NowNs - BeginNs);
   }
 
   /// Total accumulated time in seconds — a live read: an open region
@@ -69,9 +76,7 @@ public:
   double seconds() const {
     int64_t Ns = AccumulatedNs;
     if (TILGC_UNLIKELY(Depth != 0))
-      Ns += std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                 Begin)
-                .count();
+      Ns += static_cast<int64_t>(monotonicNowNs() - BeginNs);
     return static_cast<double>(Ns) * 1e-9;
   }
 
@@ -80,7 +85,7 @@ public:
   void reset() {
     if (TILGC_UNLIKELY(Depth != 0)) {
       ++MisuseCount;
-      Begin = Clock::now();
+      BeginNs = monotonicNowNs();
     }
     AccumulatedNs = 0;
   }
@@ -95,8 +100,30 @@ public:
   uint64_t misuses() const { return MisuseCount; }
 
 private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point Begin;
+  /// Opens a region; true when this is the outermost start (the caller
+  /// stamps BeginNs), false for a counted nested start that keeps the
+  /// outer region's start point.
+  bool enter() {
+    if (TILGC_UNLIKELY(Depth != 0)) {
+      ++Depth;
+      ++MisuseCount;
+      return false;
+    }
+    Depth = 1;
+    return true;
+  }
+  /// Closes a region; true when the outermost region closed (the caller
+  /// accumulates). An unmatched stop is a counted no-op and an inner stop
+  /// of a misused nest only unwinds one level.
+  bool leave() {
+    if (TILGC_UNLIKELY(Depth == 0)) {
+      ++MisuseCount;
+      return false;
+    }
+    return --Depth == 0;
+  }
+
+  uint64_t BeginNs = 0;
   int64_t AccumulatedNs = 0;
   unsigned Depth = 0;
   uint64_t MisuseCount = 0;
@@ -106,6 +133,8 @@ private:
 class TimerScope {
 public:
   explicit TimerScope(Timer &T) : T(T) { T.start(); }
+  /// Opens the region at a monotonicNowNs() stamp the caller already read.
+  TimerScope(Timer &T, uint64_t BeginNs) : T(T) { T.startAt(BeginNs); }
   ~TimerScope() { T.stop(); }
   TimerScope(const TimerScope &) = delete;
   TimerScope &operator=(const TimerScope &) = delete;

@@ -54,6 +54,41 @@ TEST(SpaceTest, ResetEmptiesButKeepsCapacity) {
   EXPECT_EQ(S.capacityBytes(), Cap);
 }
 
+TEST(SpaceTest, InlineStopBoundsOnlyTheInlinePath) {
+  Space S;
+  S.reserve(1024);
+  Word D = header::make(ObjectKind::Record, 2, 0); // 4 words = 32 bytes
+  // Unlowered, the inline stop is the soft limit.
+  for (int I = 0; I < 32; ++I)
+    ASSERT_NE(S.allocateInline(D, 0), nullptr);
+  EXPECT_EQ(S.allocateInline(D, 0), nullptr);
+  S.reset();
+
+  // A stop at 100 bytes admits three records (96 bytes) inline; the
+  // fourth would cross it. allocate() ignores the stop.
+  S.setInlineStopBytes(100);
+  for (int I = 0; I < 3; ++I)
+    ASSERT_NE(S.allocateInline(D, 0), nullptr);
+  EXPECT_EQ(S.allocateInline(D, 0), nullptr);
+  EXPECT_NE(S.allocate(D, 0), nullptr);
+  // A stop at the current fill fails every inline allocation.
+  S.setInlineStopBytes(S.usedBytes());
+  EXPECT_EQ(S.allocateInline(D, 0), nullptr);
+  S.clearInlineStop();
+  EXPECT_NE(S.allocateInline(D, 0), nullptr);
+
+  // reset() and a soft-limit change raise a lowered stop again; a stop
+  // past the soft limit clamps to it.
+  S.setInlineStopBytes(0);
+  S.reset();
+  EXPECT_NE(S.allocateInline(D, 0), nullptr);
+  S.setInlineStopBytes(0);
+  S.setSoftLimitBytes(64);
+  EXPECT_NE(S.allocateInline(D, 0), nullptr);
+  S.setInlineStopBytes(1 << 20);
+  EXPECT_EQ(S.allocateInline(D, 0), nullptr) << "64-byte soft limit is full";
+}
+
 TEST(SpaceTest, WalkVisitsInAllocationOrder) {
   Space S;
   S.reserve(4096);

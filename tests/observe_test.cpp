@@ -106,6 +106,24 @@ TEST(TimerMisuse, ResetWhileRunningCountedAndRestarts) {
   EXPECT_LT(T.seconds(), 2e-4);
 }
 
+TEST(TimerMisuse, CallerStampsAccumulateExactlyAndNestLikeStart) {
+  Timer T;
+  uint64_t Now = monotonicNowNs();
+  T.startAt(Now);
+  T.startAt(Now + 100); // Misuse: keeps the outer stamp.
+  T.stopAt(Now + 200);  // Inner stop: accumulates nothing.
+  EXPECT_TRUE(T.isRunning());
+  T.stopAt(Now + 1500);
+  EXPECT_FALSE(T.isRunning());
+  EXPECT_EQ(T.misuses(), 1u);
+  EXPECT_DOUBLE_EQ(T.seconds(), 1500e-9);
+  T.stopAt(Now + 2000); // Unmatched: a counted no-op.
+  EXPECT_EQ(T.misuses(), 2u);
+  EXPECT_DOUBLE_EQ(T.seconds(), 1500e-9);
+  // The telemetry plane reads the same clock as Timer.
+  EXPECT_GE(GcTelemetry::nowNs(), Now);
+}
+
 //===----------------------------------------------------------------------===//
 // PauseHistogram.
 //===----------------------------------------------------------------------===//

@@ -26,6 +26,12 @@
 ///  * Supervision: a GC watchdog with WatchdogPolicy::Recover that barks
 ///    mid-cycle force-finishes the cycle (cooperative recovery), and the
 ///    run still completes correctly.
+///  * Slice scheduling and accounting: a cycle opened by large-object
+///    pressure (no collection, so the mutator's cached inline space stays
+///    valid) still runs its slices from the inline path's stop; every
+///    slice's pause fits inside GcTime and its IncrementalMark phase
+///    inside its pause; and the slice schedule and event stream repeat
+///    exactly across identical runs.
 ///
 /// Suite names all contain "PauseBudget" so CI can run the whole plane with
 /// --gtest_filter=*PauseBudget* on both the debug and NDEBUG binaries (this
@@ -36,12 +42,14 @@
 #include "runtime/Mutator.h"
 
 #include "observe/EventRecorder.h"
+#include "observe/GcObserver.h"
 #include "runtime/MutatorGroup.h"
 #include "workloads/MLLib.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -378,4 +386,111 @@ TEST(PauseBudgetResilience, RecoverBarkForceFinishesCycle) {
       << "1ms deadline across whole cycles never barked";
   std::string Err;
   EXPECT_TRUE(M.verifyHeap(Err)) << Err;
+}
+
+//===----------------------------------------------------------------------===//
+// Slice scheduling and accounting.
+//===----------------------------------------------------------------------===//
+
+TEST(PauseBudgetSlices, LosPressureCycleSlicesBeforeTheNextMinor) {
+  Mutator M(budgetConfig(/*MaxPauseMicros=*/100));
+  GenerationalCollector &GC = genGC(M);
+  Frame F(M, keyPb());
+  // One record first, so the mutator's inline path has cached the nursery
+  // for the current collection epoch.
+  F.set(1, consInt(M, sitePb(), 0, slot(F, 1)));
+  uint64_t GcsBefore = M.gcStats().NumGC;
+  // 8 KB non-pointer arrays go to the large-object space; past the soft
+  // budget they open a cycle from the LOS-pressure path, which runs no
+  // collection and so leaves the cached epoch valid.
+  for (int I = 0; I < 1000 && !GC.incrementalCycleLive(); ++I)
+    M.allocNonPtrArray(sitePb(), 1024);
+  ASSERT_TRUE(GC.incrementalCycleLive())
+      << "large-object pressure never opened a cycle";
+  ASSERT_EQ(M.gcStats().NumGC, GcsBefore)
+      << "the cycle must open outside any collection";
+  ASSERT_EQ(GC.incrementalSlices(), 0u);
+  // One stride of 32-byte records (and one more) reaches the next slice's
+  // stop on either pacing leg.
+  size_t StrideBytes = std::max<size_t>(256, GC.nurseryCapacity() / 128);
+  for (size_t Bytes = 0; Bytes <= StrideBytes; Bytes += 32)
+    F.set(1, consInt(M, sitePb(), 1, slot(F, 1)));
+  EXPECT_GT(GC.incrementalSlices(), 0u)
+      << "the inline path skipped the slice schedule of a cycle opened "
+         "from the large-object path";
+  EXPECT_EQ(M.gcStats().NumMajorGC, 0u);
+  std::string Err;
+  EXPECT_TRUE(M.verifyHeap(Err)) << Err;
+}
+
+namespace {
+
+/// Every event's deterministic slice (timing and placement-dependent
+/// counters excluded, as in observe_test's EventKey) plus the timing checks
+/// on each incremental mark slice.
+struct SliceLedger : GcObserver {
+  using Key = std::tuple<uint64_t, int, int, bool, uint64_t, uint64_t,
+                         uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>;
+  std::vector<Key> Events;
+  uint64_t Slices = 0;
+  uint64_t SlicePauseNs = 0;
+  /// Slices whose IncrementalMark phase outlasted their pause.
+  uint64_t PhaseOverruns = 0;
+
+  void onGcEnd(const GcEvent &E) override {
+    Events.emplace_back(E.Seq, int(E.Gen), int(E.Trigger), E.Slice,
+                        E.BytesCopied, E.ObjectsCopied, E.FramesAtGC,
+                        E.FramesScanned, E.SsbEntriesProcessed,
+                        E.BytesPretenured, E.CrossingMapUpdates);
+    if (!E.Slice)
+      return;
+    ++Slices;
+    SlicePauseNs += E.PauseNs;
+    if (E.PhaseDurNs[static_cast<unsigned>(GcPhase::IncrementalMark)] >
+        E.PauseNs)
+      ++PhaseOverruns;
+  }
+};
+
+struct LedgerRun {
+  SliceLedger Ledger;
+  uint64_t Slices = 0;
+  uint64_t Cycles = 0;
+};
+
+void ledgerRun(Workload &W, LedgerRun &R) {
+  MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/200);
+  C.Observer = &R.Ledger;
+  Mutator M(C);
+  EXPECT_EQ(W.run(M, PbScale), W.expected(PbScale)) << W.name();
+  GenerationalCollector &GC = genGC(M);
+  R.Slices = GC.incrementalSlices();
+  R.Cycles = GC.incrementalCycles();
+  const GcStats &S = M.gcStats();
+  EXPECT_EQ(R.Ledger.Slices, R.Slices) << W.name();
+  EXPECT_EQ(R.Ledger.PhaseOverruns, 0u)
+      << W.name() << ": a slice's IncrementalMark phase outlasted its pause";
+  EXPECT_LE(static_cast<double>(R.Ledger.SlicePauseNs) * 1e-9,
+            S.gcSeconds() + 1e-9)
+      << W.name() << ": slice pauses add up to more than GcTime";
+  EXPECT_EQ(S.timerMisuses(), 0u) << W.name();
+}
+
+} // namespace
+
+TEST(PauseBudgetSlices, SliceAccountingHoldsAndRepeatsOnAllWorkloads) {
+  uint64_t TotalSlices = 0;
+  for (const std::unique_ptr<Workload> &WP : allWorkloads()) {
+    Workload &W = *WP;
+    LedgerRun First, Second;
+    ledgerRun(W, First);
+    ledgerRun(W, Second);
+    EXPECT_EQ(Second.Slices, First.Slices) << W.name();
+    EXPECT_EQ(Second.Cycles, First.Cycles) << W.name();
+    EXPECT_TRUE(Second.Ledger.Events == First.Ledger.Events)
+        << W.name() << ": the deterministic event stream differs between "
+        << "identical runs";
+    TotalSlices += First.Slices;
+  }
+  EXPECT_GT(TotalSlices, 0u) << "no workload ran a slice";
 }
